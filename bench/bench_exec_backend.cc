@@ -1,18 +1,20 @@
-// Interpreter vs compiled-executor comparison on the serving model zoo.
+// Compiled executor vs the sequential reference walker on the serving model
+// zoo.
 //
 // For each of the five serving workloads (captured at batch 8, the serving
-// bench's max_batch) and each thread count, this times Executable::Run under
-// both RunOptions backends (best-of-repeats wall clock), counts fresh tensor
-// allocations per Run (RunStats — exact even under concurrency, unlike
-// deltas of the process-wide counter), and reports the memory planner's
-// per-device peak arena bytes next to the fresh-tensor-per-op baseline.
-// Threaded rows also time the compiled backend with the persistent worker
+// bench's max_batch) and each thread count, this times Executable::Run
+// (best-of-repeats wall clock), counts fresh tensor allocations per Run
+// (RunStats — exact even under concurrency, unlike deltas of the
+// process-wide counter), and reports the memory planner's per-device peak
+// arena bytes next to the fresh-tensor-per-op baseline. The 1-thread row
+// also times the op-walking reference walker (RunSpmdReference) as
+// interpret_ms. Threaded rows also time Runs with the persistent worker
 // pool disabled (use_pool = false, one spawned thread per device per Run)
 // so the pool's contribution is its own column. Output is one JSON object
 // on stdout.
 //
-// With --enforce-floor, exits non-zero unless the compiled backend is at
-// least kSpeedupFloor x faster than the interpreter on matmul_chain
+// With --enforce-floor, exits non-zero unless the compiled executor is at
+// least kSpeedupFloor x faster than the reference walker on matmul_chain
 // sequentially — the CI regression gate for the compiled executor.
 #include <chrono>
 #include <cstring>
@@ -30,7 +32,7 @@ using serving::AllServeWorkloads;
 using serving::ServeWorkload;
 using Clock = std::chrono::steady_clock;
 
-// CI floor: compiled must beat the interpreter by this factor on the
+// CI floor: compiled must beat the reference walker by this factor on the
 // matmul_chain workload (sequential mode, which is noise-free in CI).
 // Raised from 1.5 when the kernel tier (fused elementwise chains + blocked
 // dot) landed.
@@ -60,6 +62,23 @@ Sample Measure(const Executable& exe, const std::vector<Tensor>& inputs,
     if (!out.ok()) PARTIR_FATAL() << out.status().ToString();
     if (i == 0 || ms < sample.ms) sample.ms = ms;
     sample.allocations = stats.allocations;
+  }
+  return sample;
+}
+
+// The reference walker is sequential, so the process-wide allocation
+// counter's delta is exact for it.
+Sample MeasureReference(const Executable& exe,
+                        const std::vector<Tensor>& inputs, int repeats) {
+  Sample sample;
+  for (int i = 0; i < repeats; ++i) {
+    int64_t allocs_before = Tensor::allocations();
+    auto start = Clock::now();
+    StatusOr<std::vector<Tensor>> out = RunSpmdReference(exe.spmd(), inputs);
+    double ms = MsSince(start);
+    if (!out.ok()) PARTIR_FATAL() << out.status().ToString();
+    if (i == 0 || ms < sample.ms) sample.ms = ms;
+    sample.allocations = Tensor::allocations() - allocs_before;
   }
   return sample;
 }
@@ -113,32 +132,31 @@ int main(int argc, char** argv) {
     json.Key("fused_instructions").Value(stats.fused_instructions);
     json.Key("runs").BeginArray();
     for (int threads : {1, 2, 0}) {
-      RunOptions interpret;
-      interpret.num_threads = threads;
-      RunOptions compiled = interpret;
-      compiled.backend = ExecBackend::kCompiled;
-      // Warm both paths (first compiled Run sizes the arenas).
-      Measure(exe, inputs, interpret, 1);
+      RunOptions compiled;
+      compiled.num_threads = threads;
+      // Warm up (the first Run sizes the arenas).
       Measure(exe, inputs, compiled, 1);
-      Sample i_sample = Measure(exe, inputs, interpret, /*repeats=*/5);
       Sample c_sample = Measure(exe, inputs, compiled, /*repeats=*/5);
-      double speedup = i_sample.ms / c_sample.ms;
-      if (workload.name == "matmul_chain" && threads == 1) {
-        chain_sequential_speedup = speedup;
-      }
       json.BeginObject();
       json.Key("threads")
           .Value(threads == 0 ? stats.num_devices
                               : static_cast<int64_t>(threads));
-      json.Key("interpret_ms").Value(i_sample.ms);
       json.Key("compiled_ms").Value(c_sample.ms);
-      json.Key("compiled_speedup").Value(speedup);
-      json.Key("interpret_allocations").Value(i_sample.allocations);
       json.Key("compiled_allocations").Value(c_sample.allocations);
-      if (threads != 1) {
+      if (threads == 1) {
+        MeasureReference(exe, inputs, 1);
+        Sample r_sample = MeasureReference(exe, inputs, /*repeats=*/5);
+        double speedup = r_sample.ms / c_sample.ms;
+        if (workload.name == "matmul_chain") {
+          chain_sequential_speedup = speedup;
+        }
+        json.Key("interpret_ms").Value(r_sample.ms);
+        json.Key("compiled_speedup").Value(speedup);
+        json.Key("interpret_allocations").Value(r_sample.allocations);
+      } else {
         // Pool off: every Run spawns one thread per device, the pre-pool
-        // behavior. The pooled row above is the same backend reusing the
-        // executable's resident workers.
+        // behavior. The pooled row above reuses the executable's resident
+        // workers.
         RunOptions spawn = compiled;
         spawn.use_pool = false;
         Measure(exe, inputs, spawn, 1);
@@ -161,7 +179,7 @@ int main(int argc, char** argv) {
 
   if (enforce_floor && chain_sequential_speedup < kSpeedupFloor) {
     std::fprintf(stderr,
-                 "FAIL: compiled backend %.2fx vs interpreter on "
+                 "FAIL: compiled executor %.2fx vs reference walker on "
                  "matmul_chain (floor %.2fx)\n",
                  chain_sequential_speedup, kSpeedupFloor);
     return 1;

@@ -91,10 +91,13 @@ class Executable {
    * shardings, and the global outputs are reassembled. Input count, rank
    * and dims are validated up front with typed errors.
    *
-   * By default every simulated device runs on its own thread with
-   * rendezvous collectives (RunOptions); options.num_threads == 1 selects
-   * the sequential reference walker, whose outputs are bit-identical to
-   * the threaded runtime's under the (default) deterministic mode.
+   * Runs the compiled device program (src/exec/). By default every
+   * simulated device runs on its own thread with rendezvous collectives
+   * (RunOptions); options.num_threads == 1 runs the devices sequentially
+   * on the calling thread, and a larger value caps the concurrency. Under
+   * the (default) deterministic mode every thread count is bit-identical
+   * to the sequential reference walker (RunSpmdReference). A negative
+   * num_threads is an InvalidArgumentError.
    *
    * Threaded Runs reuse this executable's persistent worker pool (one
    * resident thread per device, created on first use) instead of spawning

@@ -38,7 +38,7 @@ bool IsElementwiseOp(const Operation& op) {
 Status ValidateLoopOp(const Func& func, const Operation& op) {
   if (op.kind() != OpKind::kLoop) {
     return InvalidArgumentError(
-        "compiled backend cannot execute region op '", OpKindName(op.kind()),
+        "compiled executor cannot execute region op '", OpKindName(op.kind()),
         "' in '", func.name(), "'");
   }
   if (op.num_regions() != 1 || op.num_results() != 1) {
@@ -63,7 +63,7 @@ Status ValidateLoopOp(const Func& func, const Operation& op) {
   for (const auto& inner : body.ops()) {
     if (IsCollective(inner->kind())) {
       return InvalidArgumentError(
-          "compiled backend cannot execute collective '",
+          "compiled executor cannot execute collective '",
           OpKindName(inner->kind()), "' inside a loop region in '",
           func.name(), "'");
     }
@@ -296,8 +296,6 @@ StatusOr<std::shared_ptr<const DeviceProgram>> CompileDeviceProgram(
     }
 
     Instruction inst = BuildInstruction(op, plan);
-    const ValuePlan& result0 = plan.values[plan.IndexOf(op.result(0))];
-    (void)result0;
     for (int j = 0; j < op.num_operands(); ++j) {
       const Value* operand = op.operand(j);
       const ValuePlan& ovp = plan.values[plan.IndexOf(operand)];

@@ -1,10 +1,11 @@
 /**
  * @file
  * One-shot lowering from a device-local SPMD program to a flat instruction
- * stream: the compiled counterpart of the op-walking SPMD interpreter.
+ * stream: the compiled counterpart of the op-walking reference walker
+ * (RunSpmdReference).
  *
  * A DeviceProgram is compiled once per partitioned module (by the
- * compile-device-programs pipeline pass, or ad hoc on first compiled Run)
+ * compile-device-programs pipeline pass, or ad hoc by RunSpmd)
  * and then drives every execution:
  *
  *  - each instruction is a dense record with pre-resolved operand/result

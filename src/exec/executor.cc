@@ -177,7 +177,7 @@ Tensor TakeOperand(const Instruction& inst, Arena& arena) {
   return buf;
 }
 
-/** Sequential reference walk: each instruction on every device in turn,
+/** Sequential walk: each instruction on every device in turn,
  *  collectives one replica group at a time in group-position order. */
 void RunSequentialExec(const DeviceProgram& program,
                        std::vector<Arena>& arenas) {
@@ -210,7 +210,7 @@ void RunSequentialExec(const DeviceProgram& program,
 
 /**
  * Async runtime: one body per device, rendezvous collectives, and a
- * semaphore throttling concurrency (same protocol as the interpreter).
+ * semaphore throttling concurrency.
  * Device bodies run on the persistent worker pool when one is supplied and
  * idle; otherwise (no pool, pool too small, or another Run holding its
  * submit lease) each body gets a freshly spawned thread.
@@ -284,8 +284,8 @@ StatusOr<std::vector<Tensor>> ExecuteCompiled(
 
   int concurrency = options.num_threads == 0
                         ? static_cast<int>(num_devices)
-                        : std::max(1, std::min(options.num_threads,
-                                               static_cast<int>(num_devices)));
+                        : std::min(options.num_threads,
+                                   static_cast<int>(num_devices));
   if (concurrency == 1 || num_devices == 1) {
     RunSequentialExec(program, arenas);
   } else {

@@ -1,16 +1,16 @@
 /**
  * @file
- * Executes a compiled DeviceProgram over the mesh: slot-indexed arenas
- * instead of Value->Tensor maps, planner-driven buffer reuse and in-place
- * elementwise updates, and the same two execution modes as the op-walking
- * interpreter — a sequential reference walk, and one thread per device
- * meeting at rendezvous collectives (src/spmd/rendezvous.h).
+ * Executes a compiled DeviceProgram over the mesh — the SPMD runtime behind
+ * RunSpmd: slot-indexed arenas instead of Value->Tensor maps, planner-driven
+ * buffer reuse and in-place elementwise updates, and two execution modes —
+ * a sequential walk, and one thread per device meeting at rendezvous
+ * collectives (src/spmd/rendezvous.h).
  *
- * Outputs are bit-identical to RunSpmd's interpreter backend: elementwise
- * kernels share the interpreter's scalar functions, the fused rank-2 dot
- * accumulates in double over the same index order, everything else falls
- * back to the interpreter's own EvalOpRef, and collectives fold in group
- * position order.
+ * Outputs are bit-identical to the sequential reference walker
+ * (RunSpmdReference): elementwise kernels share the interpreter's scalar
+ * functions, the fused rank-2 dot accumulates in double over the same index
+ * order, everything else falls back to the interpreter's own EvalOpRef, and
+ * collectives fold in group position order.
  */
 #ifndef PARTIR_EXEC_EXECUTOR_H_
 #define PARTIR_EXEC_EXECUTOR_H_
@@ -27,10 +27,9 @@ namespace exec {
 
 /**
  * Runs `program` on every device of `spmd.mesh`. `global_inputs` are
- * global tensors (sharded per the module's input shardings; must already
- * be validated); returns global outputs reassembled per the output
- * shardings. Honors RunOptions::num_threads / deterministic exactly like
- * the interpreter backend.
+ * global tensors (sharded per the module's input shardings); returns global
+ * outputs reassembled per the output shardings. Inputs and options must
+ * already be validated by RunSpmd (in particular num_threads >= 0).
  */
 StatusOr<std::vector<Tensor>> ExecuteCompiled(
     const SpmdModule& spmd, const DeviceProgram& program,

@@ -34,14 +34,14 @@ std::vector<Tensor> EvalOpRef(const Operation& op,
 /**
  * Evaluates one op — including PartIR:Core region ops (loop / slice, with
  * the sequential loop semantics of Figure 13) — against an external
- * environment: how the SPMD interpreter executes partially-lowered
+ * environment: how the SPMD reference walker executes partially-lowered
  * device-local programs that still carry loop regions.
  */
 void EvalOpInEnv(const Operation& op, Env& env);
 
 /**
  * Scalar kernels of the unary / binary elementwise ops. Shared by the
- * reference interpreter and the compiled executor so the two backends stay
+ * reference interpreter and the compiled executor so the two stay
  * bit-identical by construction.
  */
 float ApplyUnaryOp(OpKind kind, float x);

@@ -109,8 +109,8 @@ std::string SerializePartitionResult(const PartitionResult& result);
  * recompiles the process-local derived state: the collective plan is
  * rebuilt, and when the saved result carried a compiled device program one
  * is recompiled from the deserialized module (best-effort: a module the
- * compiled backend cannot cover loads with a null program, which every
- * runtime path treats as "compile ad hoc"). kDataLoss on corrupt input.
+ * compiled executor cannot cover loads with a null program, which RunSpmd
+ * treats as "compile ad hoc"). kDataLoss on corrupt input.
  */
 StatusOr<PartitionResult> DeserializePartitionResult(
     const std::string& bytes);

@@ -46,10 +46,10 @@ struct SpmdModule {
 
   /**
    * Precomputed replica groups and attribute parses for every collective op
-   * (collectives.h), built once after collective optimization so RunSpmd
-   * does not re-derive device coordinates per call. Null until planned (or
-   * after the module is handed out mutably); RunSpmd then builds one ad
-   * hoc.
+   * (collectives.h), built once after collective optimization so device
+   * program compilation and the reference walker do not re-derive device
+   * coordinates. Null until planned (or after the module is handed out
+   * mutably); both then build one ad hoc.
    */
   std::shared_ptr<const CollectivePlan> plan;
 
@@ -58,7 +58,7 @@ struct SpmdModule {
    * program (src/exec/device_program.h), built by the
    * compile-device-programs pipeline pass; null until compiled, and
    * dropped together with `plan` on any mutable access. Null is always
-   * safe: a compiled-backend Run compiles one ad hoc.
+   * safe: RunSpmd compiles one ad hoc.
    */
   std::shared_ptr<const exec::DeviceProgram> exec_program;
 

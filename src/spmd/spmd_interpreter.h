@@ -4,23 +4,20 @@
  * device of the mesh with real collective semantics (slice / gather /
  * reduce / reduce-scatter / all-to-all across mesh-axis replica groups).
  *
- * Two runtimes share one collective implementation (collectives.h):
+ * RunSpmd is the one runtime: it executes the module's compiled
+ * DeviceProgram (src/exec/), either as a sequential walk or with one body
+ * per simulated device meeting at rendezvous collectives — each device
+ * deposits its contribution and blocks until the whole replica group has
+ * arrived, the last arrival evaluates the group in deterministic position
+ * order, and all members pick up their outputs.
  *
- *  - the *sequential reference walker* (RunOptions::num_threads == 1): one
- *    global op-walker evaluates each op on every device in turn — the
- *    executable specification of the paper's Appendix C correctness
- *    theorem (partitioned program + collectives == unpartitioned program);
- *
- *  - the *async runtime* (the default): one thread per simulated device
- *    executes its device-local program independently; collectives are
- *    rendezvous objects with barrier semantics — each device deposits its
- *    contribution and blocks until the whole replica group has arrived,
- *    the last arrival evaluates the group in deterministic position order,
- *    and all members pick up their outputs.
- *
- * Because both runtimes evaluate collectives through the same group-ordered
- * functions, their outputs are bit-identical; the async runtime surfaces
- * real overlap and ordering bugs that lock-step emulation cannot.
+ * RunSpmdReference is the sequential reference walker: one global
+ * op-walker evaluates each IR op on every device in turn — the executable
+ * specification of the paper's Appendix C correctness theorem (partitioned
+ * program + collectives == unpartitioned program). Tests and benches
+ * compare the runtime against it; both evaluate collectives through the
+ * same group-ordered functions (collectives.h), so their outputs are
+ * bit-identical.
  */
 #ifndef PARTIR_SPMD_SPMD_INTERPRETER_H_
 #define PARTIR_SPMD_SPMD_INTERPRETER_H_
@@ -51,46 +48,29 @@ struct RunStats {
   int64_t allocations = 0;
 };
 
-/** Which execution engine drives the device-local programs. */
-enum class ExecBackend {
-  /** The op-walking SPMD interpreter: fresh tensor per op per device. */
-  kInterpret,
-  /**
-   * The compiled executor (src/exec/): flat instruction stream with
-   * pre-resolved arena slots from the liveness memory planner.
-   * Bit-identical outputs to kInterpret on all supported programs.
-   */
-  kCompiled,
-};
-
 /** Options controlling multi-device execution. */
 struct RunOptions {
   /**
    * Worker threads executing device programs. 0 (default) runs one thread
-   * per simulated device; 1 selects the sequential reference walker; any
-   * other value caps how many device threads run concurrently (a thread
-   * waiting at a collective rendezvous releases its slot, so any positive
-   * cap is deadlock-free). Values above the device count are clamped.
+   * per simulated device; 1 runs the devices sequentially on the calling
+   * thread; any other positive value caps how many device threads run
+   * concurrently (a thread waiting at a collective rendezvous releases its
+   * slot, so any positive cap is deadlock-free). Values above the device
+   * count are clamped; negative values are an InvalidArgumentError.
    */
   int num_threads = 0;
   /**
    * When true (default), collective reductions fold in group-position
-   * order: outputs are bit-identical to the sequential walker and across
-   * repeated runs. When false, all_reduce / reduce_scatter fold in thread
-   * arrival order — correct within float tolerance, not bit-stable.
+   * order: outputs are bit-identical to the sequential reference walker
+   * and across repeated runs. When false, all_reduce / reduce_scatter fold
+   * in thread arrival order — correct within float tolerance, not
+   * bit-stable.
    */
   bool deterministic = true;
   /**
-   * Execution engine. kInterpret (default) walks the IR per Run;
-   * kCompiled executes the precompiled DeviceProgram (compiling one ad hoc
-   * when the module carries none). Both honor num_threads/deterministic
-   * identically.
-   */
-  ExecBackend backend = ExecBackend::kInterpret;
-  /**
    * Persistent device worker pool (exec/worker_pool.h). When non-null,
    * `use_pool` is true, and the pool has at least one worker per device,
-   * the threaded runtimes dispatch device bodies onto the pool's resident
+   * threaded Runs dispatch device bodies onto the pool's resident
    * threads instead of spawning a fresh std::thread per device per Run.
    * If the pool is busy (another Run holds its submit lease), execution
    * falls back to spawning, so concurrent Runs stay correct.
@@ -116,12 +96,23 @@ Tensor UnshardTensor(const PerDevice& shards, const ValueSharding& sharding,
  * Runs the SPMD program on all devices. `inputs[i]` are the *global* input
  * tensors; they are sharded per the module's input shardings. Returns the
  * *global* outputs, reassembled per the output shardings. Input arity and
- * shape mismatches (including unshardable global dims) are typed errors,
- * reported before any device thread starts.
+ * shape mismatches (including unshardable global dims) and a negative
+ * RunOptions::num_threads are typed errors, reported before any device
+ * thread starts. Executes `spmd.exec_program`, compiling one ad hoc when
+ * the module carries none (hand-built or mutated modules).
  */
 StatusOr<std::vector<Tensor>> RunSpmd(const SpmdModule& spmd,
                                       const std::vector<Tensor>& global_inputs,
                                       const RunOptions& options = {});
+
+/**
+ * The sequential reference walker: validates like RunSpmd, then walks the
+ * device-local IR op by op on every device in turn (collectives one replica
+ * group at a time, in group-position order). Slow and allocation-heavy by
+ * design; it is the correctness reference RunSpmd is tested against.
+ */
+StatusOr<std::vector<Tensor>> RunSpmdReference(
+    const SpmdModule& spmd, const std::vector<Tensor>& global_inputs);
 
 }  // namespace partir
 

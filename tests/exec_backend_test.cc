@@ -1,9 +1,10 @@
-// Differential tests for the compiled executor backend: every example and
-// serving workload runs through RunOptions::backend = kCompiled and must be
-// bit-identical (memcmp) to the op-walking interpreter, sequentially and
-// threaded. Also covers memory_stats(), ad-hoc compilation after module
-// mutation, cache-hit clones, and a batcher smoke on the compiled backend.
-// This suite runs under the ThreadSanitizer CI job.
+// Differential tests for the compiled executor, the SPMD runtime behind
+// every Run: every example and serving workload must be bit-identical
+// (memcmp) to the sequential reference walker (RunSpmdReference) when run
+// sequentially, threaded and with a capped thread count. Also covers
+// memory_stats(), ad-hoc compilation after module mutation, cache-hit
+// clones, the persistent worker pool, per-Run statistics and a batcher
+// smoke. This suite runs under the ThreadSanitizer and debug-verify CI jobs.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -38,20 +39,17 @@ void ExpectBitIdentical(const std::vector<Tensor>& a,
   }
 }
 
-// Runs interpreter and compiled backends in sequential, fully-threaded and
-// capped-thread modes; asserts the compiled outputs are bit-identical to
-// the interpreter's in every mode.
-void ExpectBackendsAgree(const Executable& exe,
-                         const std::vector<Tensor>& inputs,
-                         const std::string& label) {
+// Runs the executable sequentially, fully threaded and capped at three
+// threads; asserts every mode is bit-identical to the sequential reference
+// walker.
+void ExpectMatchesReferenceWalker(const Executable& exe,
+                                  const std::vector<Tensor>& inputs,
+                                  const std::string& label) {
+  std::vector<Tensor> want = RunSpmdReference(exe.spmd(), inputs).value();
   for (int num_threads : {1, 0, 3}) {
-    RunOptions interpret;
-    interpret.num_threads = num_threads;
-    RunOptions compiled = interpret;
-    compiled.backend = ExecBackend::kCompiled;
-    std::vector<Tensor> want = exe.Run(inputs, interpret).value();
-    std::vector<Tensor> got = exe.Run(inputs, compiled).value();
-    ExpectBitIdentical(want, got,
+    RunOptions options;
+    options.num_threads = num_threads;
+    ExpectBitIdentical(want, exe.Run(inputs, options).value(),
                        label + " (threads=" + std::to_string(num_threads) +
                            ")");
   }
@@ -67,7 +65,7 @@ Program BuildChainProgram(int64_t rows, int64_t inner, int64_t hidden) {
   return program;
 }
 
-// ---- The example workloads, both backends bit-for-bit ----
+// ---- The example workloads, bit-for-bit against the reference walker ----
 
 TEST(ExecBackendTest, QuickstartChainBpMpZ3) {
   Program program("main");
@@ -84,7 +82,7 @@ TEST(ExecBackendTest, QuickstartChainBpMpZ3) {
                       ManualPartition{"Z3", {{"w1", 0}, {"w2", 1}}, "B"}},
                      mesh)
           .value();
-  ExpectBackendsAgree(exe, program.RandomInputs(1), "quickstart");
+  ExpectMatchesReferenceWalker(exe, program.RandomInputs(1), "quickstart");
 }
 
 TransformerConfig SmallTransformer() {
@@ -111,20 +109,19 @@ TEST(ExecBackendTest, TransformerTrainingBpMp) {
           .Partition({schedules::TransformerBP(), schedules::TransformerMP()},
                      mesh)
           .value();
-  ExpectBackendsAgree(
+  ExpectMatchesReferenceWalker(
       exe, program.RandomInputs(21, static_cast<float>(config.vocab)),
       "transformer training");
 }
 
 // Differential coverage for the boundary-aware realization of the
 // standalone-EMB schedule (PartitionOptions::boundary_realization): the
-// new lowering must be bit-identical between the interpreter and the
-// compiled backend in sequential, fully-threaded and capped-thread modes,
-// and both the boundary-realized and the historical all-all_reduce
-// lowerings must agree with the unpartitioned reference evaluation.
-// Collective reductions re-associate float sums, so the reference
-// comparison uses a tolerance; the backend/threading comparisons stay
-// memcmp-strict.
+// new lowering must be bit-identical to the reference walker in
+// sequential, fully-threaded and capped-thread modes, and both the
+// boundary-realized and the historical all-all_reduce lowerings must agree
+// with the unpartitioned reference evaluation. Collective reductions
+// re-associate float sums, so the unpartitioned comparison uses a
+// tolerance; the walker/threading comparisons stay memcmp-strict.
 TEST(ExecBackendTest, TransformerEmbBoundaryRealizationDifferential) {
   TransformerConfig config = SmallTransformer();
   Program program = Program::Capture([&](Module& module) {
@@ -159,7 +156,7 @@ TEST(ExecBackendTest, TransformerEmbBoundaryRealizationDifferential) {
   };
   constexpr float kTol = 5e-3f;
   for (Variant& variant : variants) {
-    ExpectBackendsAgree(variant.exe, inputs, variant.label);
+    ExpectMatchesReferenceWalker(variant.exe, inputs, variant.label);
     for (int num_threads : {1, 0, 3}) {
       RunOptions options;
       options.num_threads = num_threads;
@@ -182,7 +179,7 @@ TEST(ExecBackendTest, TransformerInferenceBp) {
   Mesh mesh({{"batch", 4}});
   Executable exe =
       program.Partition({schedules::InferenceBP()}, mesh).value();
-  ExpectBackendsAgree(
+  ExpectMatchesReferenceWalker(
       exe, program.RandomInputs(22, static_cast<float>(config.vocab)),
       "transformer inference");
 }
@@ -196,7 +193,7 @@ TEST(ExecBackendTest, GnsEdgeSharding) {
       [&](Module& module) { return BuildGnsLoss(module, config); });
   Mesh mesh({{"batch", 4}});
   Executable exe = program.Partition({schedules::GnsES()}, mesh).value();
-  ExpectBackendsAgree(
+  ExpectMatchesReferenceWalker(
       exe, program.RandomInputs(23, static_cast<float>(config.num_nodes)),
       "gns edge sharding");
 }
@@ -209,12 +206,12 @@ TEST(ExecBackendTest, AutomaticPartitioning) {
   automatic.axes = {"B"};
   automatic.options.simulations = 16;
   Executable exe = program.Partition({automatic}, mesh).value();
-  ExpectBackendsAgree(exe, program.RandomInputs(24), "automatic");
+  ExpectMatchesReferenceWalker(exe, program.RandomInputs(24), "automatic");
 }
 
 // ---- All five serving workloads ----
 
-TEST(ExecBackendTest, ServingWorkloadsAgreeOnBothBackends) {
+TEST(ExecBackendTest, ServingWorkloadsMatchReferenceWalker) {
   for (const ServeWorkload& workload : AllServeWorkloads()) {
     SCOPED_TRACE(workload.name);
     for (int64_t batch : {1, 4}) {
@@ -223,14 +220,14 @@ TEST(ExecBackendTest, ServingWorkloadsAgreeOnBothBackends) {
           program.Partition(workload.schedule, workload.mesh);
       if (!exe.ok()) {
         // Batch sizes the schedule cannot shard serve unpartitioned (the
-        // batcher's fallback); the compiled backend must cover that too.
+        // batcher's fallback); the runtime must cover that too.
         exe = program.Partition({}, workload.mesh);
       }
       ASSERT_TRUE(exe.ok()) << exe.status().ToString();
       std::vector<Tensor> inputs =
           program.RandomInputs(31 + batch, workload.index_modulus);
-      ExpectBackendsAgree(*exe, inputs,
-                          workload.name + "@" + std::to_string(batch));
+      ExpectMatchesReferenceWalker(
+          *exe, inputs, workload.name + "@" + std::to_string(batch));
     }
   }
 }
@@ -269,8 +266,9 @@ TEST(ExecBackendTest, MutableAccessDropsProgramAndAdHocCompileStillAgrees) {
   // with the collective plan...
   exe.mutable_spmd();
   EXPECT_EQ(exe.spmd().exec_program, nullptr);
-  // ...and a compiled-backend Run recompiles ad hoc, still bit-identical.
-  ExpectBackendsAgree(exe, program.RandomInputs(3), "after invalidation");
+  // ...and the next Run recompiles ad hoc, still bit-identical.
+  ExpectMatchesReferenceWalker(exe, program.RandomInputs(3),
+                               "after invalidation");
 }
 
 TEST(ExecBackendTest, CacheHitClonesShareTheCompiledProgram) {
@@ -289,18 +287,15 @@ TEST(ExecBackendTest, CacheHitClonesShareTheCompiledProgram) {
   EXPECT_EQ(second.spmd().exec_program.get(), first.spmd().exec_program.get())
       << "cache-hit clones should share one immutable program";
   std::vector<Tensor> inputs = program.RandomInputs(4);
-  ExpectBackendsAgree(second, inputs, "cache-hit clone");
-  RunOptions compiled;
-  compiled.backend = ExecBackend::kCompiled;
-  ExpectBitIdentical(first.Run(inputs, compiled).value(),
-                     second.Run(inputs, compiled).value(),
+  ExpectMatchesReferenceWalker(second, inputs, "cache-hit clone");
+  ExpectBitIdentical(first.Run(inputs).value(), second.Run(inputs).value(),
                      "clone vs original");
   // Mutable access drops the shared program without touching the
-  // original's, and the next compiled Run still agrees bit-for-bit.
+  // original's, and the next Run still agrees bit-for-bit.
   second.mutable_spmd();
   EXPECT_EQ(second.spmd().exec_program, nullptr);
   ASSERT_NE(first.spmd().exec_program, nullptr);
-  ExpectBackendsAgree(second, inputs, "mutated clone");
+  ExpectMatchesReferenceWalker(second, inputs, "mutated clone");
 }
 
 // ---- Kernel tier: fused elementwise chains ----
@@ -326,15 +321,14 @@ TEST(ExecBackendTest, ElementwiseChainsFuseAndStayBitIdentical) {
   exec::MemoryStats stats = exe.memory_stats().value();
   EXPECT_GE(stats.fused_chains, 1) << "no elementwise chain was fused";
   EXPECT_GE(stats.fused_instructions, 2 * stats.fused_chains);
-  ExpectBackendsAgree(exe, program.RandomInputs(41), "fused chain");
+  ExpectMatchesReferenceWalker(exe, program.RandomInputs(41), "fused chain");
 }
 
 // ---- Compiled PartIR:Core loop regions ----
 
 // A device-local module still carrying loop regions (tile with slices, a
 // nested tile inside a sum, and an elementwise tail in a body) must compile
-// — no interpreter fallback — and agree bit-for-bit with the op-walking
-// interpreter in every threading mode.
+// and agree bit-for-bit with the reference walker in every threading mode.
 TEST(ExecBackendTest, LoopRegionModulesCompileAndAgree) {
   Mesh mesh({{"B", 2}});
   SpmdModule spmd;
@@ -386,20 +380,14 @@ TEST(ExecBackendTest, LoopRegionModulesCompileAndAgree) {
 
   std::vector<Tensor> inputs = {Tensor::Random({8, 4}, 51),
                                 Tensor::Random({4, 6}, 52)};
-  RunOptions sequential;
-  sequential.num_threads = 1;
-  std::vector<Tensor> want = RunSpmd(spmd, inputs, sequential).value();
+  std::vector<Tensor> want = RunSpmdReference(spmd, inputs).value();
   for (int num_threads : {1, 0}) {
-    RunOptions compiled;
-    compiled.num_threads = num_threads;
-    compiled.backend = ExecBackend::kCompiled;
-    ExpectBitIdentical(RunSpmd(spmd, inputs, compiled).value(), want,
+    RunOptions options;
+    options.num_threads = num_threads;
+    ExpectBitIdentical(RunSpmd(spmd, inputs, options).value(), want,
                        "loop region (threads=" +
                            std::to_string(num_threads) + ")");
   }
-  // The threaded interpreter walks the same loops per device.
-  ExpectBitIdentical(RunSpmd(spmd, inputs, {}).value(), want,
-                     "loop region threaded interpreter");
 }
 
 // ---- Persistent worker pool ----
@@ -411,25 +399,19 @@ TEST(ExecBackendTest, PersistentPoolStopsSpawningThreadsAcrossRuns) {
       program.Partition({ManualPartition{"BP", {{"x", 0}}, "B"}}, mesh)
           .value();
   std::vector<Tensor> inputs = program.RandomInputs(61);
-  RunOptions sequential;
-  sequential.num_threads = 1;
-  std::vector<Tensor> want = exe.Run(inputs, sequential).value();
+  std::vector<Tensor> want = RunSpmdReference(exe.spmd(), inputs).value();
 
-  RunOptions compiled;
-  compiled.backend = ExecBackend::kCompiled;
   // The first threaded Run creates the executable's pool...
-  ExpectBitIdentical(exe.Run(inputs, compiled).value(), want, "first run");
+  ExpectBitIdentical(exe.Run(inputs).value(), want, "first run");
   int64_t created = exec::WorkerPool::threads_created();
   // ...and 1000 back-to-back Runs reuse its resident workers: the
   // process-wide thread-creation count must not move.
   for (int r = 0; r < 1000; ++r) {
-    ASSERT_TRUE(exe.Run(inputs, compiled).ok());
+    ASSERT_TRUE(exe.Run(inputs).ok());
   }
-  // The threaded interpreter backend drives the same pool.
-  ExpectBitIdentical(exe.Run(inputs, {}).value(), want, "interpreter run");
   EXPECT_EQ(exec::WorkerPool::threads_created(), created)
       << "pooled Runs spawned fresh pool threads";
-  ExpectBitIdentical(exe.Run(inputs, compiled).value(), want, "last run");
+  ExpectBitIdentical(exe.Run(inputs).value(), want, "last run");
 }
 
 TEST(ExecBackendTest, TwoExecutablesDriveIndependentPools) {
@@ -448,15 +430,13 @@ TEST(ExecBackendTest, TwoExecutablesDriveIndependentPools) {
   sequential.num_threads = 1;
   std::vector<Tensor> want_a = a.Run(inputs_a, sequential).value();
   std::vector<Tensor> want_b = b.Run(inputs_b, sequential).value();
-  RunOptions compiled;
-  compiled.backend = ExecBackend::kCompiled;
   // Warm both pools, then interleave: neither executable's Runs may spawn.
-  ASSERT_TRUE(a.Run(inputs_a, compiled).ok());
-  ASSERT_TRUE(b.Run(inputs_b, compiled).ok());
+  ASSERT_TRUE(a.Run(inputs_a).ok());
+  ASSERT_TRUE(b.Run(inputs_b).ok());
   int64_t created = exec::WorkerPool::threads_created();
   for (int r = 0; r < 50; ++r) {
-    ExpectBitIdentical(a.Run(inputs_a, compiled).value(), want_a, "a");
-    ExpectBitIdentical(b.Run(inputs_b, compiled).value(), want_b, "b");
+    ExpectBitIdentical(a.Run(inputs_a).value(), want_a, "a");
+    ExpectBitIdentical(b.Run(inputs_b).value(), want_b, "b");
   }
   EXPECT_EQ(exec::WorkerPool::threads_created(), created);
 }
@@ -468,19 +448,18 @@ TEST(ExecBackendTest, RespecializeWhilePoolIsLive) {
       program.Partition({ManualPartition{"BP", {{"x", 0}}, "B"}}, mesh)
           .value();
   std::vector<Tensor> inputs = program.RandomInputs(64);
-  RunOptions compiled;
-  compiled.backend = ExecBackend::kCompiled;
+  RunOptions threaded;
   // Warm the first executable's pool, then respecialize while it is live:
   // the new executable gets its own pool and both keep running.
-  ASSERT_TRUE(first.Run(inputs, compiled).ok());
+  ASSERT_TRUE(first.Run(inputs, threaded).ok());
   Executable second =
       first.Respecialize({ManualPartition{"MP", {{"w1", 1}}, "M"}}).value();
   RunOptions sequential;
   sequential.num_threads = 1;
-  ExpectBitIdentical(second.Run(inputs, compiled).value(),
+  ExpectBitIdentical(second.Run(inputs, threaded).value(),
                      second.Run(inputs, sequential).value(),
                      "respecialized while pool live");
-  ExpectBitIdentical(first.Run(inputs, compiled).value(),
+  ExpectBitIdentical(first.Run(inputs, threaded).value(),
                      first.Run(inputs, sequential).value(),
                      "original after respecialize");
 }
@@ -493,7 +472,6 @@ TEST(ExecBackendTest, UsePoolFalseStillAgrees) {
           .value();
   std::vector<Tensor> inputs = program.RandomInputs(65);
   RunOptions pooled;
-  pooled.backend = ExecBackend::kCompiled;
   RunOptions spawning = pooled;
   spawning.use_pool = false;
   ExpectBitIdentical(exe.Run(inputs, pooled).value(),
@@ -511,43 +489,40 @@ TEST(ExecBackendTest, RunStatsCountAllocationsPerRun) {
           .value();
   std::vector<Tensor> inputs = program.RandomInputs(66);
 
-  RunOptions compiled;
-  compiled.backend = ExecBackend::kCompiled;
+  RunOptions threaded;
   RunStats stats;
-  compiled.stats = &stats;
-  ASSERT_TRUE(exe.Run(inputs, compiled).ok());
+  threaded.stats = &stats;
+  ASSERT_TRUE(exe.Run(inputs, threaded).ok());
   EXPECT_GT(stats.allocations, 0);
   int64_t first_run = stats.allocations;
   // Identical Runs allocate identically: per-run counting is deterministic,
   // unlike deltas of the process-wide counter under concurrency.
-  ASSERT_TRUE(exe.Run(inputs, compiled).ok());
+  ASSERT_TRUE(exe.Run(inputs, threaded).ok());
   EXPECT_EQ(stats.allocations, first_run);
   // The executable reports its latest Run's count through memory_stats().
   exec::MemoryStats mem = exe.memory_stats().value();
   EXPECT_EQ(mem.last_run_allocations, first_run);
 
-  // The interpreter backend fills the same stats.
-  RunOptions interpret;
-  interpret.stats = &stats;
-  ASSERT_TRUE(exe.Run(inputs, interpret).ok());
+  // The sequential walk fills the same stats.
+  RunOptions sequential;
+  sequential.num_threads = 1;
+  sequential.stats = &stats;
+  ASSERT_TRUE(exe.Run(inputs, sequential).ok());
   EXPECT_GT(stats.allocations, 0);
 }
 
-// ---- Batcher smoke on the compiled backend ----
+// ---- Batcher smoke ----
 
-TEST(ExecBackendTest, BatcherServesCompiledBackendBitIdentically) {
+TEST(ExecBackendTest, BatcherServesBitIdenticallyToReferenceWalker) {
   ServeWorkload workload = serving::MatMulChainWorkload();
   WorkloadHarness harness(workload);
   Executable reference =
       harness.unit().Partition(workload.schedule, workload.mesh).value();
-  RunOptions sequential;
-  sequential.num_threads = 1;
 
   Program program = Program::Capture(workload.build, 1);
   BatchOptions options;
   options.max_batch = 4;
   options.max_delay_us = 10000;
-  options.run.backend = ExecBackend::kCompiled;
   std::unique_ptr<Batcher> batcher =
       program.Serve(workload.schedule, workload.mesh, options).value();
 
@@ -555,14 +530,14 @@ TEST(ExecBackendTest, BatcherServesCompiledBackendBitIdentically) {
   std::vector<std::vector<Tensor>> want;
   for (int r = 0; r < 12; ++r) {
     std::vector<Tensor> inputs = harness.Request(700 + r);
-    want.push_back(reference.Run(inputs, sequential).value());
+    want.push_back(RunSpmdReference(reference.spmd(), inputs).value());
     futures.push_back(batcher->Submit(std::move(inputs)));
   }
   for (int r = 0; r < 12; ++r) {
     ServeResponse response = futures[r].get();
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     ExpectBitIdentical(response.value(), want[r],
-                       "compiled batch request " + std::to_string(r));
+                       "batch request " + std::to_string(r));
   }
   batcher->Shutdown();
   BatcherStats stats = batcher->stats();

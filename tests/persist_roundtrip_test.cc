@@ -1,7 +1,7 @@
 // Round-trip property tests for the persistent-cache serializer: every
 // example and serving workload's PartitionResult must survive
-// serialize -> deserialize with bit-identical Run outputs on both
-// execution backends and identical stage-snapshot prints; traced modules
+// serialize -> deserialize with Run outputs bit-identical to the sequential
+// reference walker and identical stage-snapshot prints; traced modules
 // must round-trip through Program::Save / Program::Load with equal
 // structural fingerprints. This suite runs under the ThreadSanitizer and
 // debug-verify CI jobs.
@@ -63,7 +63,7 @@ void ExpectBitIdentical(const std::vector<Tensor>& a,
  * The round-trip property: serialize + deserialize the result, then check
  * the copy is observably identical — printed SPMD module, shardings,
  * metadata, every stage snapshot (including the aliasing structure), and
- * bit-identical Run outputs on the interpreting and compiled backends.
+ * Run outputs bit-identical to the sequential reference walker.
  */
 void ExpectRoundTrips(const PartitionResult& original,
                       const std::vector<Tensor>& inputs,
@@ -138,18 +138,23 @@ void ExpectRoundTrips(const PartitionResult& original,
     }
   }
 
-  // Execution fidelity, both backends, sequential and threaded.
-  for (int num_threads : {1, 0}) {
-    for (ExecBackend backend :
-         {ExecBackend::kInterpret, ExecBackend::kCompiled}) {
-      RunOptions run;
-      run.num_threads = num_threads;
-      run.backend = backend;
-      StatusOr<std::vector<Tensor>> want = RunSpmd(original.spmd, inputs, run);
-      StatusOr<std::vector<Tensor>> got = RunSpmd(restored->spmd, inputs, run);
-      ASSERT_TRUE(want.ok()) << label << ": " << want.status().ToString();
+  // Execution fidelity: the original's and the restored module's compiled
+  // Runs — sequential, threaded and capped — are bit-identical to the
+  // original's sequential reference walk.
+  StatusOr<std::vector<Tensor>> want = RunSpmdReference(original.spmd, inputs);
+  ASSERT_TRUE(want.ok()) << label << ": " << want.status().ToString();
+  const SpmdModule* modules[] = {&original.spmd, &restored->spmd};
+  for (int num_threads : {1, 0, 3}) {
+    RunOptions run;
+    run.num_threads = num_threads;
+    for (const SpmdModule* spmd : modules) {
+      StatusOr<std::vector<Tensor>> got = RunSpmd(*spmd, inputs, run);
       ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
-      ExpectBitIdentical(*want, *got, label);
+      ExpectBitIdentical(*want, *got,
+                         label + (spmd == &original.spmd ? " original"
+                                                         : " restored") +
+                             " (threads=" + std::to_string(num_threads) +
+                             ")");
     }
   }
 }

@@ -531,7 +531,7 @@ TEST(PropagationTest, BoundaryAblationRestoresAllReduceOnlyEmbRow) {
   options.use_cache = false;
   options.boundary_realization = false;
   PartitionResult result =
-      PartirJit(ctx, {schedules::TransformerEMB()}, options);
+      PartirJitOrError(ctx, {schedules::TransformerEMB()}, options).value();
   EXPECT_EQ(result.collectives.all_gather, 0);
   EXPECT_EQ(result.collectives.all_reduce, 355);
   EXPECT_EQ(result.collectives.reduce_scatter, 0);
@@ -554,7 +554,7 @@ TEST(PropagationTest, BoundaryRealizationEmbCountsScaleWithDepth) {
   options.per_tactic_reports = false;
   options.use_cache = false;
   PartitionResult result =
-      PartirJit(ctx, {schedules::TransformerEMB()}, options);
+      PartirJitOrError(ctx, {schedules::TransformerEMB()}, options).value();
   EXPECT_EQ(result.collectives.all_gather, 16);
   EXPECT_EQ(result.collectives.all_reduce, 13);
   EXPECT_EQ(result.collectives.reduce_scatter, 8);

@@ -1,8 +1,8 @@
 // Tests for the async multi-device SPMD runtime: replica-group planning,
 // rendezvous collective semantics on 3-axis and asymmetric meshes, typed
 // Run errors, and bit-exact agreement between the sequential reference
-// walker and the threaded runtime (including capped thread counts and the
-// five example workloads).
+// walker (RunSpmdReference) and the runtime's sequential, threaded and
+// capped-thread modes (including the five example workloads).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -36,9 +36,9 @@ void ExpectBitIdentical(const std::vector<Tensor>& a,
   }
 }
 
-// Runs under the sequential walker, the full threaded runtime, and a
-// capped thread count; asserts all three are bit-identical and returns the
-// sequential outputs.
+// Runs sequentially, fully threaded, and at a capped thread count; asserts
+// all three are bit-identical to the sequential reference walker and
+// returns its outputs.
 std::vector<Tensor> RunAllModes(const Executable& exe,
                                 const std::vector<Tensor>& inputs,
                                 const std::string& label) {
@@ -47,12 +47,14 @@ std::vector<Tensor> RunAllModes(const Executable& exe,
   RunOptions threaded;  // default: one thread per device
   RunOptions capped;
   capped.num_threads = 3;
-  std::vector<Tensor> seq = exe.Run(inputs, sequential).value();
-  ExpectBitIdentical(seq, exe.Run(inputs, threaded).value(),
+  std::vector<Tensor> want = RunSpmdReference(exe.spmd(), inputs).value();
+  ExpectBitIdentical(want, exe.Run(inputs, sequential).value(),
+                     label + " sequential");
+  ExpectBitIdentical(want, exe.Run(inputs, threaded).value(),
                      label + " threaded");
-  ExpectBitIdentical(seq, exe.Run(inputs, capped).value(),
+  ExpectBitIdentical(want, exe.Run(inputs, capped).value(),
                      label + " capped(3)");
-  return seq;
+  return want;
 }
 
 void ExpectMatchesReference(Program& program, const Executable& exe,
@@ -131,7 +133,7 @@ TEST(SpmdRuntimeTest, ThreeAxisMeshFsdpAgreesWithReference) {
 TEST(SpmdRuntimeTest, AsymmetricMeshReduceScatterAgreesWithReference) {
   // {B:3, M:2}: dims divisible by 3; sharding the output over M turns the
   // Megatron all_reduce into a reduce_scatter whose reduction order (3
-  // summands over B-agnostic groups) must be identical in both runtimes.
+  // summands over B-agnostic groups) must be identical in every mode.
   Program program("chain");
   Value* x = program.AddInput(TensorType({6, 8}), "x");
   Value* w1 = program.AddInput(TensorType({8, 6}), "w1");
@@ -175,10 +177,12 @@ TEST(SpmdRuntimeTest, AllToAllRoundTripOnAsymmetricAxis) {
   Tensor global = Tensor::Random({6, 6}, 99);
   RunOptions sequential;
   sequential.num_threads = 1;
-  std::vector<Tensor> seq = RunSpmd(spmd, {global}, sequential).value();
-  std::vector<Tensor> thr = RunSpmd(spmd, {global}).value();
-  ExpectBitIdentical(seq, thr, "all_to_all round trip");
-  EXPECT_EQ(seq[0].data(), global.data()) << "round trip is not identity";
+  std::vector<Tensor> ref = RunSpmdReference(spmd, {global}).value();
+  ExpectBitIdentical(ref, RunSpmd(spmd, {global}, sequential).value(),
+                     "all_to_all round trip sequential");
+  ExpectBitIdentical(ref, RunSpmd(spmd, {global}).value(),
+                     "all_to_all round trip threaded");
+  EXPECT_EQ(ref[0].data(), global.data()) << "round trip is not identity";
 }
 
 TEST(SpmdRuntimeTest, DeepShardedGatherOnThreeAxisMesh) {
@@ -202,10 +206,12 @@ TEST(SpmdRuntimeTest, DeepShardedGatherOnThreeAxisMesh) {
   Tensor global = Tensor::Random({4, 8}, 123);
   RunOptions sequential;
   sequential.num_threads = 1;
-  std::vector<Tensor> seq = RunSpmd(spmd, {global}, sequential).value();
-  std::vector<Tensor> thr = RunSpmd(spmd, {global}).value();
-  ExpectBitIdentical(seq, thr, "deep gather");
-  EXPECT_EQ(seq[0].data(), global.data()) << "gather lost the global value";
+  std::vector<Tensor> ref = RunSpmdReference(spmd, {global}).value();
+  ExpectBitIdentical(ref, RunSpmd(spmd, {global}, sequential).value(),
+                     "deep gather sequential");
+  ExpectBitIdentical(ref, RunSpmd(spmd, {global}).value(),
+                     "deep gather threaded");
+  EXPECT_EQ(ref[0].data(), global.data()) << "gather lost the global value";
 }
 
 // ---- Determinism ----
@@ -275,6 +281,21 @@ TEST(SpmdRuntimeTest, ShapeMismatchIsStatusNotAbort) {
   EXPECT_NE(result.status().message().find("input 0"), std::string::npos);
 }
 
+TEST(SpmdRuntimeTest, NegativeThreadCountIsStatusNotSequential) {
+  Program program = BuildChainProgram(8, 8, 8);
+  Mesh mesh({{"B", 4}});
+  Executable exe =
+      program.Partition({ManualPartition{"BP", {{"x", 0}}, "B"}}, mesh)
+          .value();
+  RunOptions options;
+  options.num_threads = -1;
+  StatusOr<std::vector<Tensor>> result =
+      exe.Run(program.RandomInputs(3), options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("num_threads"), std::string::npos);
+}
+
 TEST(SpmdRuntimeTest, UnshardableGlobalDimIsStatusNotAbort) {
   // RunSpmd itself (below Executable's global-shape validation) must also
   // diagnose inputs whose dims the mesh cannot divide.
@@ -289,13 +310,17 @@ TEST(SpmdRuntimeTest, UnshardableGlobalDimIsStatusNotAbort) {
   spmd.input_shardings = {ValueSharding{AxesPerDim{{"B"}, {}}}};
   spmd.output_shardings = {ValueSharding{AxesPerDim{{"B"}, {}}}};
 
-  StatusOr<std::vector<Tensor>> result = RunSpmd(spmd, {Tensor({7, 4})});
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(result.status().message().find("divisible"), std::string::npos);
+  for (StatusOr<std::vector<Tensor>> result :
+       {RunSpmd(spmd, {Tensor({7, 4})}),
+        RunSpmdReference(spmd, {Tensor({7, 4})})}) {
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("divisible"),
+              std::string::npos);
+  }
 }
 
-// ---- The five example workloads, threaded == sequential bit-for-bit ----
+// ---- The five example workloads, every mode == reference bit-for-bit ----
 
 TEST(SpmdRuntimeExamplesTest, QuickstartChainBpMpZ3) {
   Program program("main");
