@@ -9,6 +9,7 @@
 #include "src/exec/worker_pool.h"
 #include "src/interp/interpreter.h"
 #include "src/spmd/rendezvous.h"
+#include "src/support/check.h"
 
 namespace partir {
 namespace exec {
@@ -265,6 +266,10 @@ void RunThreadedExec(const DeviceProgram& program, const RunOptions& options,
 StatusOr<std::vector<Tensor>> ExecuteCompiled(
     const SpmdModule& spmd, const DeviceProgram& program,
     const std::vector<Tensor>& global_inputs, const RunOptions& options) {
+  // A negative count would size the device semaphore below zero and block
+  // every device in Acquire; RunSpmd rejects it as InvalidArgument.
+  PARTIR_CHECK(options.num_threads >= 0)
+      << "ExecuteCompiled: num_threads = " << options.num_threads;
   std::atomic<int64_t> run_allocs{0};
   std::atomic<int64_t>* sink = options.stats != nullptr ? &run_allocs : nullptr;
   // Counts sharding/unsharding on the calling thread too; device threads

@@ -29,7 +29,7 @@ namespace exec {
  * Runs `program` on every device of `spmd.mesh`. `global_inputs` are
  * global tensors (sharded per the module's input shardings); returns global
  * outputs reassembled per the output shardings. Inputs and options must
- * already be validated by RunSpmd (in particular num_threads >= 0).
+ * already be validated by RunSpmd; a negative num_threads aborts.
  */
 StatusOr<std::vector<Tensor>> ExecuteCompiled(
     const SpmdModule& spmd, const DeviceProgram& program,

@@ -743,15 +743,18 @@ StatusOr<PartitionResult> DeserializePartitionResult(
   }
 
   // Rebuild the process-local derived state the pipeline's last passes
-  // normally produce: the precomputed collective plan always, the compiled
-  // device program when the saved result carried one (best-effort — a null
-  // program always falls back to ad-hoc compilation at Run).
+  // normally produce: the precomputed collective plan always, and the
+  // compiled device program when the saved result carried one.
   result.spmd.plan =
       BuildCollectivePlan(result.spmd.mesh, *result.spmd.module);
   if (had_exec_program) {
     StatusOr<std::shared_ptr<const exec::DeviceProgram>> program =
         exec::CompileDeviceProgram(result.spmd);
-    if (program.ok()) result.spmd.exec_program = std::move(program).value();
+    if (!program.ok()) {
+      return DataLossError("saved module no longer compiles: ",
+                           program.status().message());
+    }
+    result.spmd.exec_program = std::move(program).value();
   }
   return result;
 }

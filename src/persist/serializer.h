@@ -108,9 +108,8 @@ std::string SerializePartitionResult(const PartitionResult& result);
  * Rebuilds a PartitionResult from SerializePartitionResult bytes and
  * recompiles the process-local derived state: the collective plan is
  * rebuilt, and when the saved result carried a compiled device program one
- * is recompiled from the deserialized module (best-effort: a module the
- * compiled executor cannot cover loads with a null program, which RunSpmd
- * treats as "compile ad hoc"). kDataLoss on corrupt input.
+ * is recompiled from the deserialized module. kDataLoss on corrupt input,
+ * including a module the compiled executor no longer compiles.
  */
 StatusOr<PartitionResult> DeserializePartitionResult(
     const std::string& bytes);

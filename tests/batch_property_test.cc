@@ -17,6 +17,7 @@
 #include "src/models/serving.h"
 #include "src/serve/batcher.h"
 #include "src/spmd/batching.h"
+#include "src/spmd/spmd_interpreter.h"
 
 namespace partir {
 namespace {
@@ -50,8 +51,6 @@ TEST(BatchPropertyTest, StackRunDestackEqualsPerRequestRunOnAllWorkloads) {
     SCOPED_TRACE(workload.name);
     WorkloadHarness harness(workload);
     Executable reference = UnitReference(harness, workload);
-    RunOptions sequential;
-    sequential.num_threads = 1;
 
     Program program = Program::Capture(workload.build, 1);
     BatchOptions options;
@@ -69,7 +68,7 @@ TEST(BatchPropertyTest, StackRunDestackEqualsPerRequestRunOnAllWorkloads) {
       std::vector<std::vector<Tensor>> want;
       for (int64_t r = 0; r < k; ++r) {
         std::vector<Tensor> inputs = harness.Request(1000 + seed++);
-        want.push_back(reference.Run(inputs, sequential).value());
+        want.push_back(RunSpmdReference(reference.spmd(), inputs).value());
         futures.push_back(batcher->Submit(std::move(inputs)));
       }
       for (int64_t r = 0; r < k; ++r) {
@@ -150,8 +149,6 @@ TEST(BatchPropertyTest, UnshardableBatchSizesFallBackAndStayCorrect) {
   ServeWorkload workload = serving::AttentionWorkload();
   WorkloadHarness harness(workload);
   Executable reference = UnitReference(harness, workload);
-  RunOptions sequential;
-  sequential.num_threads = 1;
 
   Program program = Program::Capture(workload.build, 1);
   BatchOptions options;
@@ -163,7 +160,7 @@ TEST(BatchPropertyTest, UnshardableBatchSizesFallBackAndStayCorrect) {
   std::vector<std::vector<Tensor>> want;
   for (int r = 0; r < 3; ++r) {  // one full batch of 3 (odd -> fallback)
     std::vector<Tensor> inputs = harness.Request(70 + r);
-    want.push_back(reference.Run(inputs, sequential).value());
+    want.push_back(RunSpmdReference(reference.spmd(), inputs).value());
     futures.push_back(batcher->Submit(std::move(inputs)));
   }
   for (int r = 0; r < 3; ++r) {

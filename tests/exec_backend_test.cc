@@ -11,6 +11,7 @@
 
 #include "src/api/partir.h"
 #include "src/exec/device_program.h"
+#include "src/exec/executor.h"
 #include "src/exec/worker_pool.h"
 #include "src/ir/builder.h"
 #include "src/models/gns.h"
@@ -426,10 +427,8 @@ TEST(ExecBackendTest, TwoExecutablesDriveIndependentPools) {
           .value();
   std::vector<Tensor> inputs_a = program_a.RandomInputs(62);
   std::vector<Tensor> inputs_b = program_b.RandomInputs(63);
-  RunOptions sequential;
-  sequential.num_threads = 1;
-  std::vector<Tensor> want_a = a.Run(inputs_a, sequential).value();
-  std::vector<Tensor> want_b = b.Run(inputs_b, sequential).value();
+  std::vector<Tensor> want_a = RunSpmdReference(a.spmd(), inputs_a).value();
+  std::vector<Tensor> want_b = RunSpmdReference(b.spmd(), inputs_b).value();
   // Warm both pools, then interleave: neither executable's Runs may spawn.
   ASSERT_TRUE(a.Run(inputs_a).ok());
   ASSERT_TRUE(b.Run(inputs_b).ok());
@@ -454,14 +453,22 @@ TEST(ExecBackendTest, RespecializeWhilePoolIsLive) {
   ASSERT_TRUE(first.Run(inputs, threaded).ok());
   Executable second =
       first.Respecialize({ManualPartition{"MP", {{"w1", 1}}, "M"}}).value();
+  // Both stay bit-identical to the reference walker, threaded and
+  // sequential.
   RunOptions sequential;
   sequential.num_threads = 1;
-  ExpectBitIdentical(second.Run(inputs, threaded).value(),
-                     second.Run(inputs, sequential).value(),
+  std::vector<Tensor> want_second =
+      RunSpmdReference(second.spmd(), inputs).value();
+  ExpectBitIdentical(second.Run(inputs, threaded).value(), want_second,
                      "respecialized while pool live");
-  ExpectBitIdentical(first.Run(inputs, threaded).value(),
-                     first.Run(inputs, sequential).value(),
+  ExpectBitIdentical(second.Run(inputs, sequential).value(), want_second,
+                     "respecialized, sequential");
+  std::vector<Tensor> want_first =
+      RunSpmdReference(first.spmd(), inputs).value();
+  ExpectBitIdentical(first.Run(inputs, threaded).value(), want_first,
                      "original after respecialize");
+  ExpectBitIdentical(first.Run(inputs, sequential).value(), want_first,
+                     "original after respecialize, sequential");
 }
 
 TEST(ExecBackendTest, UsePoolFalseStillAgrees) {
@@ -477,6 +484,24 @@ TEST(ExecBackendTest, UsePoolFalseStillAgrees) {
   ExpectBitIdentical(exe.Run(inputs, pooled).value(),
                      exe.Run(inputs, spawning).value(),
                      "pool vs spawn");
+}
+
+// ExecuteCompiled sits below RunSpmd's validation: a caller that hands it a
+// negative thread count must abort on the check, not deadlock every device
+// on a semaphore sized below zero.
+TEST(ExecBackendDeathTest, ExecuteCompiledRejectsNegativeThreadCount) {
+  Program program = BuildChainProgram(8, 8, 8);
+  Mesh mesh({{"B", 4}});
+  Executable exe =
+      program.Partition({ManualPartition{"BP", {{"x", 0}}, "B"}}, mesh)
+          .value();
+  ASSERT_NE(exe.spmd().exec_program, nullptr);
+  std::vector<Tensor> inputs = program.RandomInputs(67);
+  RunOptions options;
+  options.num_threads = -1;
+  EXPECT_DEATH((void)exec::ExecuteCompiled(
+                   exe.spmd(), *exe.spmd().exec_program, inputs, options),
+               "num_threads");
 }
 
 // ---- Per-run allocation statistics ----

@@ -13,6 +13,7 @@
 #include <filesystem>
 
 #include "src/api/partir.h"
+#include "src/ir/builder.h"
 #include "src/ir/fingerprint.h"
 #include "src/ir/printer.h"
 #include "src/models/gns.h"
@@ -339,6 +340,39 @@ TEST(PersistRoundTripTest, ExecutableSaveResultRoundTrips) {
   ExpectBitIdentical(exe.Run(inputs).value(),
                      RunSpmd(restored->spmd, inputs, {}).value(),
                      "SaveResult");
+}
+
+// A saved result that carried a compiled device program must load with
+// one: when its module no longer compiles, loading is kDataLoss (a disk
+// tier treats that as a miss and repartitions), not a result whose every
+// Run would fail the same compile again.
+TEST(PersistRoundTripTest, SavedModuleThatNoLongerCompilesIsDataLoss) {
+  Program program = BuildChainProgram();
+  Mesh mesh({{"B", 4}});
+  Executable exe =
+      program.Partition({ManualPartition{"BP", {{"x", 0}}, "B"}}, mesh)
+          .value();
+  // A loop action the compiled executor does not know.
+  PartitionResult result;
+  result.spmd.mesh = mesh;
+  result.spmd.module = std::make_unique<Module>();
+  Func* func = result.spmd.module->AddFunc("main");
+  Value* x = func->body().AddArg(TensorType({4, 4}), "x");
+  OpBuilder builder(&func->body());
+  Operation* loop = builder.Loop("B", 4, "bogus", -1, TensorType({4, 4}));
+  Block& body = loop->region(0).block();
+  OpBuilder(&body).Yield(&body, {x});
+  builder.Return({loop->result()});
+  result.spmd.input_shardings = {ValueSharding{AxesPerDim{{}, {}}}};
+  result.spmd.output_shardings = {ValueSharding{AxesPerDim{{}, {}}}};
+  result.spmd.exec_program = exe.spmd().exec_program;
+  StatusOr<PartitionResult> restored = persist::DeserializePartitionResult(
+      persist::SerializePartitionResult(result));
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(restored.status().message().find("unknown loop action 'bogus'"),
+            std::string::npos)
+      << restored.status().ToString();
 }
 
 // ---- The serving batcher warms from disk ----

@@ -1,9 +1,10 @@
 // Concurrency stress tests for the serving batcher: mixed-shape traffic
-// from many producer threads, bit-identical outputs vs unbatched sequential
-// Run, per-request error isolation, deadline expiry, live schedule swaps,
-// and clean shutdown with in-flight requests. This suite runs under the
-// ThreadSanitizer CI job — the rendezvous runtime, the single-flight
-// partition cache and the batcher's queues are all exercised concurrently.
+// from many producer threads, bit-identical outputs vs the unbatched
+// sequential reference walker, per-request error isolation, deadline
+// expiry, live schedule swaps, and clean shutdown with in-flight requests.
+// This suite runs under the ThreadSanitizer CI job — the rendezvous
+// runtime, the single-flight partition cache and the batcher's queues are
+// all exercised concurrently.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -12,6 +13,7 @@
 
 #include "src/models/serving.h"
 #include "src/serve/batcher.h"
+#include "src/spmd/spmd_interpreter.h"
 #include "src/support/mpmc_queue.h"
 
 namespace partir {
@@ -85,9 +87,7 @@ std::vector<Tensor> MixedReference(const std::string& key,
                                    const std::vector<Tensor>& inputs) {
   Program unit = MixedFactory(key, 1).value();
   Executable exe = unit.Partition(MixedSchedule(), MixedMesh()).value();
-  RunOptions sequential;
-  sequential.num_threads = 1;
-  return exe.Run(inputs, sequential).value();
+  return RunSpmdReference(exe.spmd(), inputs).value();
 }
 
 bool BitIdentical(const std::vector<Tensor>& a, const std::vector<Tensor>& b) {
@@ -273,9 +273,7 @@ TEST(ServeStressTest, RespecializeSwapsScheduleUnderLiveTraffic) {
     inputs.push_back(MixedRequest("rows4", 400 + r));
     Program unit = MixedFactory("rows4", 1).value();
     Executable exe = unit.Partition(over_b, MixedMesh()).value();
-    RunOptions sequential;
-    sequential.num_threads = 1;
-    want.push_back(exe.Run(inputs.back(), sequential).value());
+    want.push_back(RunSpmdReference(exe.spmd(), inputs.back()).value());
   }
 
   std::vector<ServeFuture> futures;
