@@ -13,11 +13,14 @@
 // so the pool's contribution is its own column. Output is one JSON object
 // on stdout.
 //
-// With --enforce-floor, exits non-zero unless the compiled executor is at
-// least kSpeedupFloor x faster than the reference walker on matmul_chain
-// sequentially — the CI regression gate for the compiled executor.
+// With --enforce-floor, exits non-zero unless the sequential compiled
+// executor beats the reference walker by each workload's floor (kFloors:
+// matmul_chain >= 2.5x, transformer_infer >= 5x) — the CI regression gate
+// for the compiled executor and its kernel library.
 #include <chrono>
 #include <cstring>
+#include <map>
+#include <string>
 #include <thread>
 
 #include "bench/bench_util.h"
@@ -32,11 +35,17 @@ using serving::AllServeWorkloads;
 using serving::ServeWorkload;
 using Clock = std::chrono::steady_clock;
 
-// CI floor: compiled must beat the reference walker by this factor on the
-// matmul_chain workload (sequential mode, which is noise-free in CI).
-// Raised from 1.5 when the kernel tier (fused elementwise chains + blocked
-// dot) landed.
-constexpr double kSpeedupFloor = 2.5;
+// CI floors: compiled must beat the reference walker by these factors in
+// sequential mode (noise-free in CI). matmul_chain's was raised from 1.5
+// when the kernel tier (fused elementwise chains + blocked dot) landed;
+// transformer_infer's guards the strided dot/reduce/copy kernels on the
+// workload where Run time is actually spent.
+struct SpeedupFloor {
+  const char* workload;
+  double floor;
+};
+constexpr SpeedupFloor kFloors[] = {{"matmul_chain", 2.5},
+                                    {"transformer_infer", 5.0}};
 constexpr int64_t kBenchBatch = 8;
 
 double MsSince(Clock::time_point start) {
@@ -110,7 +119,7 @@ int main(int argc, char** argv) {
       .Value(static_cast<int64_t>(std::thread::hardware_concurrency()));
   json.Key("workloads").BeginArray();
 
-  double chain_sequential_speedup = 0;
+  std::map<std::string, double> sequential_speedup;
   for (const ServeWorkload& workload : AllServeWorkloads()) {
     Program program = Program::Capture(workload.build, kBenchBatch);
     Executable exe = PartitionOrFallback(program, workload);
@@ -147,9 +156,7 @@ int main(int argc, char** argv) {
         MeasureReference(exe, inputs, 1);
         Sample r_sample = MeasureReference(exe, inputs, /*repeats=*/5);
         double speedup = r_sample.ms / c_sample.ms;
-        if (workload.name == "matmul_chain") {
-          chain_sequential_speedup = speedup;
-        }
+        sequential_speedup[workload.name] = speedup;
         json.Key("interpret_ms").Value(r_sample.ms);
         json.Key("compiled_speedup").Value(speedup);
         json.Key("interpret_allocations").Value(r_sample.allocations);
@@ -170,19 +177,30 @@ int main(int argc, char** argv) {
     json.EndObject();
   }
   json.EndArray();
-  json.Key("floor").Value(kSpeedupFloor);
-  json.Key("floor_workload").Value("matmul_chain");
-  json.Key("floor_speedup").Value(chain_sequential_speedup);
-  json.Key("floor_ok").Value(chain_sequential_speedup >= kSpeedupFloor);
+  bool floors_ok = true;
+  json.Key("floors").BeginArray();
+  for (const SpeedupFloor& floor : kFloors) {
+    double speedup = sequential_speedup[floor.workload];
+    bool ok = speedup >= floor.floor;
+    json.BeginObject();
+    json.Key("workload").Value(floor.workload);
+    json.Key("floor").Value(floor.floor);
+    json.Key("speedup").Value(speedup);
+    json.Key("ok").Value(ok);
+    json.EndObject();
+    if (!ok) {
+      floors_ok = false;
+      std::fprintf(stderr,
+                   "%s: compiled executor %.2fx vs reference walker on %s "
+                   "(floor %.2fx)\n",
+                   enforce_floor ? "FAIL" : "below floor", speedup,
+                   floor.workload, floor.floor);
+    }
+  }
+  json.EndArray();
   json.EndObject();
   std::printf("%s\n", json.str().c_str());
 
-  if (enforce_floor && chain_sequential_speedup < kSpeedupFloor) {
-    std::fprintf(stderr,
-                 "FAIL: compiled executor %.2fx vs reference walker on "
-                 "matmul_chain (floor %.2fx)\n",
-                 chain_sequential_speedup, kSpeedupFloor);
-    return 1;
-  }
+  if (enforce_floor && !floors_ok) return 1;
   return 0;
 }

@@ -13,19 +13,58 @@ namespace {
 
 std::atomic<int64_t> compiled_program_count{0};
 
-/** Rank-2 dot with no batch dims: lhs[i,k] . rhs[k,j]. */
-bool IsFastDot(const Operation& op) {
-  if (op.kind() != OpKind::kDot) return false;
-  if (op.operand(0)->tensor_type().rank() != 2 ||
-      op.operand(1)->tensor_type().rank() != 2) {
-    return false;
+/** Plans the strided kernel of `op`'s kind, if it has one (kernels.h). */
+void PlanKernel(const Operation& op, Instruction& inst) {
+  const AttrMap& attrs = op.attrs();
+  auto ints = [&attrs](const char* name) -> const std::vector<int64_t>& {
+    return attrs.Get<std::vector<int64_t>>(name);
+  };
+  auto operand_dims = [&op](int j) -> const std::vector<int64_t>& {
+    return op.operand(j)->tensor_type().dims();
+  };
+  switch (op.kind()) {
+    case OpKind::kDot:
+      inst.dot = PlanDot(operand_dims(0), operand_dims(1),
+                         ints("lhs_contract"), ints("rhs_contract"),
+                         ints("lhs_batch"), ints("rhs_batch"));
+      break;
+    case OpKind::kReduce:
+      inst.reduce = PlanReduce(operand_dims(0), ints("dims"),
+                               attrs.Get<std::string>("reduction") == "max");
+      break;
+    case OpKind::kBroadcastInDim:
+      inst.copies.push_back(PlanBroadcastInDim(
+          operand_dims(0), inst.result_dims, ints("broadcast_dims")));
+      break;
+    case OpKind::kTranspose:
+      inst.copies.push_back(PlanTranspose(operand_dims(0), ints("perm")));
+      break;
+    case OpKind::kStaticSlice:
+      inst.copies.push_back(
+          PlanStaticSlice(operand_dims(0), inst.result_dims, ints("starts")));
+      break;
+    case OpKind::kPSlice: {
+      const std::vector<int64_t>& in_dims = operand_dims(0);
+      const int64_t dim = attrs.Get<int64_t>("dim");
+      std::vector<int64_t> starts(in_dims.size(), 0);
+      for (int64_t c = 0; c < op.operand(1)->type().range().size(); ++c) {
+        starts[dim] = c * inst.result_dims[dim];
+        inst.copies.push_back(
+            PlanStaticSlice(in_dims, inst.result_dims, starts));
+      }
+      break;
+    }
+    case OpKind::kConcatenate: {
+      std::vector<std::vector<int64_t>> dims;
+      for (int j = 0; j < op.num_operands(); ++j) {
+        dims.push_back(operand_dims(j));
+      }
+      inst.copies = PlanConcatenate(dims, attrs.Get<int64_t>("dim"));
+      break;
+    }
+    default:
+      break;
   }
-  const auto& lc = op.attrs().Get<std::vector<int64_t>>("lhs_contract");
-  const auto& rc = op.attrs().Get<std::vector<int64_t>>("rhs_contract");
-  const auto& lb = op.attrs().Get<std::vector<int64_t>>("lhs_batch");
-  const auto& rb = op.attrs().Get<std::vector<int64_t>>("rhs_batch");
-  return lb.empty() && rb.empty() && lc == std::vector<int64_t>{1} &&
-         rc == std::vector<int64_t>{0};
 }
 
 /** Single-result elementwise op with no regions: fused-chain candidate. */
@@ -106,11 +145,7 @@ Instruction BuildInstruction(const Operation& op, const MemoryPlan& plan) {
     std::vector<Tensor> baked = EvalOp(op, {});
     inst.baked = std::make_shared<const Tensor>(std::move(baked[0]));
   }
-  inst.fast_dot = IsFastDot(op);
-  if (op.kind() == OpKind::kPSlice) {
-    inst.pslice_dim = op.attrs().Get<int64_t>("dim");
-    inst.pslice_count = op.operand(1)->type().range().size();
-  }
+  PlanKernel(op, inst);
   return inst;
 }
 
@@ -201,6 +236,13 @@ std::shared_ptr<const LoopInfo> CompileLoopInfo(const Operation& loop_op,
                                                 const MemoryPlan& plan,
                                                 DeviceProgram& program) {
   auto info = std::make_shared<LoopInfo>();
+  const Block& body = loop_op.region(0).block();
+  const Value* range_arg = body.arg(0);
+  const Value* yielded = body.terminator()->operand(0);
+  info->trip_count = range_arg->type().range().size();
+  info->range_slot = plan.values[plan.IndexOf(range_arg)].slot;
+  info->yield_slot = plan.values[plan.IndexOf(yielded)].slot;
+
   const std::string& action = loop_op.attrs().Get<std::string>("action");
   if (action == "any") {
     info->action = LoopInfo::Action::kAny;
@@ -209,16 +251,13 @@ std::shared_ptr<const LoopInfo> CompileLoopInfo(const Operation& loop_op,
         loop_op.attrs().GetOr<std::string>("reduction", "sum") == "max";
     info->action = is_max ? LoopInfo::Action::kMax : LoopInfo::Action::kSum;
   } else {
+    // The result is the concatenation of every iteration's yield.
     info->action = LoopInfo::Action::kTile;
-    info->tile_dim = loop_op.attrs().Get<int64_t>("tile_dim");
+    info->tile_copies = PlanConcatenate(
+        std::vector<std::vector<int64_t>>(info->trip_count,
+                                          yielded->tensor_type().dims()),
+        loop_op.attrs().Get<int64_t>("tile_dim"));
   }
-
-  const Block& body = loop_op.region(0).block();
-  const Value* range_arg = body.arg(0);
-  info->trip_count = range_arg->type().range().size();
-  info->range_slot = plan.values[plan.IndexOf(range_arg)].slot;
-  info->yield_slot =
-      plan.values[plan.IndexOf(body.terminator()->operand(0))].slot;
 
   const int num_body = body.num_ops() - 1;
   int i = 0;

@@ -15,9 +15,12 @@
  *    groups, slice schedules) plus a dense rendezvous-site base index;
  *  - zero-operand ops (constants, iota) are materialized at compile time
  *    into a shared tensor the executor copies from;
- *  - elementwise and rank-2 dot instructions are tagged for fused kernels
- *    that reproduce the reference interpreter's arithmetic exactly
- *    (bit-identical outputs, enforced by differential tests).
+ *  - elementwise chains are fused, and dot, reduce, broadcast_in_dim,
+ *    transpose, static_slice and concatenate carry strided-kernel geometry
+ *    planned here once (kernels.h); the kernels reproduce the reference
+ *    interpreter's arithmetic exactly (bit-identical outputs, enforced by
+ *    differential tests). Convolution and its gradients, gather and
+ *    scatter_add still run the interpreter's EvalOpRef.
  *
  * The same program runs on every device of the mesh; only arena contents
  * and the device's position within each replica group differ.
@@ -44,7 +47,7 @@ struct LoopInfo;
 /** One executable record of the flat stream. */
 struct Instruction {
   OpKind kind;
-  /** The source op: attributes for the generic fallback kernel. */
+  /** The source op: attributes for the EvalOpRef fallback. */
   const Operation* op = nullptr;
 
   std::vector<int> operand_slots;
@@ -64,8 +67,16 @@ struct Instruction {
   /** Operand index whose slot the result overwrites in place, or -1. */
   int in_place_operand = -1;
 
-  /** Rank-2 dot lhs[i,k] * rhs[k,j] with no batch dims: blocked kernel. */
-  bool fast_dot = false;
+  /**
+   * Strided-kernel geometry, planned once at compile time: `dot` for kDot,
+   * `reduce` for kReduce, and one copy per operand for broadcast_in_dim,
+   * transpose, static_slice (copies[0]) and concatenate. kPSlice inside a
+   * loop body has one copy per chunk: copies[c] extracts chunk c, and the
+   * range slot's runtime value picks c.
+   */
+  DotPlan dot;
+  ReducePlan reduce;
+  std::vector<CopyPlan> copies;
 
   /**
    * Non-null when this instruction is a fused run of >= 2 consecutive
@@ -81,11 +92,6 @@ struct Instruction {
    * reuse from the planner).
    */
   std::shared_ptr<const LoopInfo> loop;
-
-  /** kPSlice inside a loop body: sliced dim and chunk count (the range
-   *  type's size); the runtime chunk index is the range slot's value. */
-  int64_t pslice_dim = 0;
-  int64_t pslice_count = 0;
 
   /** Zero-operand ops: the value, materialized once at compile time. */
   std::shared_ptr<const Tensor> baked;
@@ -109,11 +115,12 @@ struct LoopInfo {
     kAny,   // one iteration, copied to the result
     kSum,   // element-wise accumulate in iteration order (+)
     kMax,   // element-wise accumulate in iteration order (max)
-    kTile,  // each iteration fills chunk r of the result along tile_dim
+    kTile,  // each iteration fills chunk r of the result (tile_copies[r])
   };
   Action action = Action::kAny;
   int64_t trip_count = 0;
-  int64_t tile_dim = 0;  // kTile only
+  /** kTile: tile_copies[r] places iteration r's yield into its chunk. */
+  std::vector<CopyPlan> tile_copies;
   /** Arena slot of the body's range argument (scalar iteration index). */
   int range_slot = -1;
   /** Arena slot of the value the body yields each iteration. */

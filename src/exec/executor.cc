@@ -66,7 +66,8 @@ void RunLoop(const Instruction& inst, Arena& arena) {
         }
         break;
       case LoopInfo::Action::kTile:
-        PlaceChunkInto(yielded, loop.tile_dim, r, loop.trip_count, out);
+        CopyInto(loop.tile_copies[r], yielded.data().data(),
+                 out.data().data());
         break;
     }
   }
@@ -105,14 +106,6 @@ void ExecLocal(const Instruction& inst, Arena& arena) {
     RunLoop(inst, arena);
     return;
   }
-  if (inst.kind == OpKind::kPSlice) {
-    const Tensor& in = arena[inst.operand_slots[0]];
-    const int64_t chunk =
-        static_cast<int64_t>(arena[inst.operand_slots[1]].data()[0]);
-    SliceChunkInto(in, inst.pslice_dim, chunk, inst.pslice_count,
-                   EnsureOut(arena, inst));
-    return;
-  }
   if (inst.baked != nullptr) {
     Tensor& out = EnsureOut(arena, inst);
     std::copy(inst.baked->data().begin(), inst.baked->data().end(),
@@ -149,11 +142,46 @@ void ExecLocal(const Instruction& inst, Arena& arena) {
     }
     return;
   }
-  if (inst.fast_dot) {
-    const Tensor& lhs = arena[inst.operand_slots[0]];
-    const Tensor& rhs = arena[inst.operand_slots[1]];
-    BlockedDot2dInto(lhs, rhs, EnsureOut(arena, inst));
-    return;
+  // Strided kernels: the planner never aliases a non-elementwise result
+  // with an operand, so operands are read straight from their slots.
+  switch (inst.kind) {
+    case OpKind::kDot: {
+      float* out = EnsureOut(arena, inst).data().data();
+      DotInto(inst.dot, arena[inst.operand_slots[0]].data().data(),
+              arena[inst.operand_slots[1]].data().data(), out);
+      return;
+    }
+    case OpKind::kReduce: {
+      float* out = EnsureOut(arena, inst).data().data();
+      ReduceInto(inst.reduce, arena[inst.operand_slots[0]].data().data(),
+                 out);
+      return;
+    }
+    case OpKind::kBroadcastInDim:
+    case OpKind::kTranspose:
+    case OpKind::kStaticSlice:
+    case OpKind::kConcatenate: {
+      float* out = EnsureOut(arena, inst).data().data();
+      for (size_t j = 0; j < inst.copies.size(); ++j) {
+        CopyInto(inst.copies[j], arena[inst.operand_slots[j]].data().data(),
+                 out);
+      }
+      return;
+    }
+    case OpKind::kPSlice: {
+      // The range operand holds the chunk index (the loop's iteration).
+      const int64_t chunk =
+          static_cast<int64_t>(arena[inst.operand_slots[1]].data()[0]);
+      PARTIR_CHECK(chunk >= 0 &&
+                   chunk < static_cast<int64_t>(inst.copies.size()))
+          << "slice chunk " << chunk << " out of range";
+      float* out = EnsureOut(arena, inst).data().data();
+      CopyInto(inst.copies[chunk], arena[inst.operand_slots[0]].data().data(),
+               out);
+      return;
+    }
+    default:
+      break;
   }
   if (inst.kind == OpKind::kReshape || inst.kind == OpKind::kTag) {
     const Tensor& in = arena[inst.operand_slots[0]];
@@ -161,7 +189,8 @@ void ExecLocal(const Instruction& inst, Arena& arena) {
     std::copy(in.data().begin(), in.data().end(), out.data().begin());
     return;
   }
-  // Generic fallback: the interpreter's own kernels over arena pointers.
+  // Convolution and its gradients, gather, scatter_add: the interpreter's
+  // own kernels over arena pointers.
   std::vector<const Tensor*> operands;
   operands.reserve(inst.operand_slots.size());
   for (int slot : inst.operand_slots) operands.push_back(&arena[slot]);

@@ -8,8 +8,10 @@
  *
  * Outputs are bit-identical to the sequential reference walker
  * (RunSpmdReference): elementwise kernels share the interpreter's scalar
- * functions, the fused rank-2 dot accumulates in double over the same index
- * order, everything else falls back to the interpreter's own EvalOpRef, and
+ * functions; the strided dot and reduce kernels (kernels.h) accumulate in
+ * the interpreter's order; broadcast_in_dim, transpose, static_slice and
+ * concatenate are strided copies; convolution and its gradients, gather
+ * and scatter_add fall back to the interpreter's own EvalOpRef; and
  * collectives fold in group position order.
  */
 #ifndef PARTIR_EXEC_EXECUTOR_H_

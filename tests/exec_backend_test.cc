@@ -534,6 +534,27 @@ TEST(ExecBackendTest, RunStatsCountAllocationsPerRun) {
   sequential.stats = &stats;
   ASSERT_TRUE(exe.Run(inputs, sequential).ok());
   EXPECT_GT(stats.allocations, 0);
+
+  // transformer_infer at batch 8 (bench_exec_backend's configuration): the
+  // strided kernels write dot/reduce/broadcast/concat/transpose/slice
+  // results into recycled arena slots, so a Run allocates fewer buffers
+  // than the 674 it took when those ops ran the interpreter fallback.
+  constexpr int64_t kFallbackTransformerAllocations = 674;
+  ServeWorkload workload = serving::TransformerInferWorkload();
+  Program transformer = Program::Capture(workload.build, 8);
+  Executable transformer_exe =
+      transformer.Partition(workload.schedule, workload.mesh).value();
+  std::vector<Tensor> transformer_inputs =
+      transformer.RandomInputs(2026, workload.index_modulus);
+  for (int num_threads : {1, 0}) {
+    RunOptions options;
+    options.num_threads = num_threads;
+    options.stats = &stats;
+    ASSERT_TRUE(transformer_exe.Run(transformer_inputs, options).ok());
+    EXPECT_GT(stats.allocations, 0);
+    EXPECT_LT(stats.allocations, kFallbackTransformerAllocations)
+        << "threads=" << num_threads;
+  }
 }
 
 // ---- Batcher smoke ----
